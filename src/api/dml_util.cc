@@ -1,6 +1,9 @@
 #include "api/dml_util.h"
 
+#include <algorithm>
 #include <map>
+
+#include "obs/metrics.h"
 
 namespace auxview {
 namespace dml {
@@ -69,34 +72,14 @@ StatusOr<Value> Coerce(const Value& v, ValueType type,
                                  v.ToString());
 }
 
-StatusOr<std::vector<Row>> MatchingRows(const Table& table,
-                                        const SqlExpr::Ptr& where) {
-  Scalar::Ptr pred;
-  if (where != nullptr) {
-    AUXVIEW_ASSIGN_OR_RETURN(
-        pred, ToTableScalar(where, table.name(), table.schema()));
-  }
-  std::vector<Row> out;
-  for (const CountedRow& cr : table.SnapshotUncharged()) {
-    if (pred != nullptr) {
-      AUXVIEW_ASSIGN_OR_RETURN(Value v, pred->Eval(cr.row, table.schema()));
-      if (v.is_null() || !v.boolean()) continue;
-    }
-    out.push_back(cr.row);
-  }
-  return out;
-}
-
 namespace {
 
-bool CollectEqualities(const SqlExpr::Ptr& e, const Schema& schema,
-                       std::vector<std::pair<int, Value>>* out) {
-  if (e->kind != SqlExpr::Kind::kBinary) return false;
-  if (e->op == "AND") {
-    return CollectEqualities(e->args[0], schema, out) &&
-           CollectEqualities(e->args[1], schema, out);
-  }
-  if (e->op != "=") return false;
+/// The (column index, coerced value) of a `column = literal` comparison,
+/// either way round; nullopt for any other shape, an unknown column, or a
+/// literal the column's type cannot hold.
+std::optional<std::pair<int, Value>> ColumnEquality(const SqlExpr::Ptr& e,
+                                                    const Schema& schema) {
+  if (e->kind != SqlExpr::Kind::kBinary || e->op != "=") return std::nullopt;
   const SqlExpr::Ptr* column = nullptr;
   const SqlExpr::Ptr* literal = nullptr;
   if (e->args[0]->kind == SqlExpr::Kind::kColumn &&
@@ -108,18 +91,82 @@ bool CollectEqualities(const SqlExpr::Ptr& e, const Schema& schema,
     column = &e->args[1];
     literal = &e->args[0];
   } else {
-    return false;
+    return std::nullopt;
   }
   const int idx = schema.IndexOf((*column)->name);
-  if (idx < 0) return false;
+  if (idx < 0) return std::nullopt;
   StatusOr<Value> coerced =
       Coerce((*literal)->literal, schema.column(idx).type, (*column)->name);
-  if (!coerced.ok()) return false;
-  out->emplace_back(idx, *std::move(coerced));
+  if (!coerced.ok()) return std::nullopt;
+  return std::make_pair(idx, *std::move(coerced));
+}
+
+bool IsAnd(const SqlExpr::Ptr& e) {
+  return e->kind == SqlExpr::Kind::kBinary && e->op == "AND";
+}
+
+bool CollectEqualities(const SqlExpr::Ptr& e, const Schema& schema,
+                       std::vector<std::pair<int, Value>>* out) {
+  if (IsAnd(e)) {
+    return CollectEqualities(e->args[0], schema, out) &&
+           CollectEqualities(e->args[1], schema, out);
+  }
+  std::optional<std::pair<int, Value>> eq = ColumnEquality(e, schema);
+  if (!eq.has_value()) return false;
+  out->push_back(*std::move(eq));
   return true;
 }
 
+/// The equalities among the top-level AND conjuncts of `e` as an index-probe
+/// key — one per column; other conjuncts are left to the residual predicate.
+void CollectProbeKey(const SqlExpr::Ptr& e, const Schema& schema,
+                     std::vector<std::string>* attrs, Row* key) {
+  if (IsAnd(e)) {
+    CollectProbeKey(e->args[0], schema, attrs, key);
+    CollectProbeKey(e->args[1], schema, attrs, key);
+    return;
+  }
+  std::optional<std::pair<int, Value>> eq = ColumnEquality(e, schema);
+  if (!eq.has_value()) return;
+  const std::string& name = schema.column(eq->first).name;
+  if (std::find(attrs->begin(), attrs->end(), name) != attrs->end()) return;
+  attrs->push_back(name);
+  key->push_back(std::move(eq->second));
+}
+
 }  // namespace
+
+StatusOr<std::vector<CountedRow>> MatchingRows(const Table& table,
+                                               const SqlExpr::Ptr& where) {
+  static obs::Counter* scanned =
+      obs::MetricsRegistry::Global().GetCounter("api.dml.rows_scanned");
+  Scalar::Ptr pred;
+  std::vector<CountedRow> candidates;
+  if (where != nullptr) {
+    AUXVIEW_ASSIGN_OR_RETURN(
+        pred, ToTableScalar(where, table.name(), table.schema()));
+    std::vector<std::string> attrs;
+    Row key;
+    CollectProbeKey(where, table.schema(), &attrs, &key);
+    if (!attrs.empty() && table.HasIndexOn(attrs)) {
+      candidates = std::move(table.LookupBatchUncharged(attrs, {key}).front());
+    } else {
+      candidates = table.SnapshotUncharged();
+    }
+  } else {
+    candidates = table.SnapshotUncharged();
+  }
+  scanned->Add(static_cast<int64_t>(candidates.size()));
+  std::vector<CountedRow> out;
+  for (CountedRow& cr : candidates) {
+    if (pred != nullptr) {
+      AUXVIEW_ASSIGN_OR_RETURN(Value v, pred->Eval(cr.row, table.schema()));
+      if (v.is_null() || !v.boolean()) continue;
+    }
+    out.push_back(std::move(cr));
+  }
+  return out;
+}
 
 std::optional<std::vector<std::pair<int, Value>>> ExtractEqualities(
     const SqlExpr::Ptr& where, const Schema& schema) {

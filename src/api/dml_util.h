@@ -28,11 +28,16 @@ StatusOr<Value> EvalConstant(const SqlExpr::Ptr& e);
 /// Coerces a value to a column type where lossless (int -> double).
 StatusOr<Value> Coerce(const Value& v, ValueType type, const std::string& col);
 
-/// Rows of `table` matching a WHERE predicate (nullptr = all rows). Reads
-/// through SnapshotUncharged — works identically against a live table and a
-/// snapshot/overlay version.
-StatusOr<std::vector<Row>> MatchingRows(const Table& table,
-                                        const SqlExpr::Ptr& where);
+/// Rows of `table` matching a WHERE predicate (nullptr = all rows), with
+/// their multiplicities. When the predicate's top-level AND conjuncts
+/// include `column = literal` comparisons (coerced as in ExtractEqualities)
+/// that a hash index covers, only the rows one index probe returns are
+/// evaluated; otherwise every row is. The full predicate decides either way.
+/// Reads are uncharged — base-table DML is outside the paper's cost model —
+/// and work identically against a live table, a snapshot version and a
+/// writer's overlay. Evaluated rows count in `api.dml.rows_scanned`.
+StatusOr<std::vector<CountedRow>> MatchingRows(const Table& table,
+                                               const SqlExpr::Ptr& where);
 
 /// If `where` is a conjunction of `column = constant` equalities over
 /// `schema`, the (column index, coerced value) pairs — the key-read form a

@@ -162,8 +162,8 @@ StatusOr<ExecResult> Session::ExecuteSelect(const SelectQuery& query) {
   return result;
 }
 
-StatusOr<std::vector<Row>> Session::MatchingRows(const std::string& table,
-                                                 const SqlExpr::Ptr& where) {
+StatusOr<std::vector<CountedRow>> Session::MatchingRows(
+    const std::string& table, const SqlExpr::Ptr& where) {
   const Table* t = db_.FindTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
   return dml::MatchingRows(*t, where);
@@ -203,12 +203,11 @@ StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
     }
     case Statement::Kind::kDelete: {
       const DeleteStmt& del = *stmt.del;
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(del.table, del.where));
-      const Table* t = db_.FindTable(del.table);
       update.relation = del.table;
-      for (const Row& row : victims) {
-        update.deletes.emplace_back(row, t->CountOf(row));
+      for (CountedRow& victim : victims) {
+        update.deletes.emplace_back(std::move(victim.row), victim.count);
       }
       spec.relation = del.table;
       spec.kind = UpdateKind::kDelete;
@@ -220,7 +219,7 @@ StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
       const UpdateStmt& upd = *stmt.update;
       const Table* t = db_.FindTable(upd.table);
       if (t == nullptr) return Status::NotFound("no such table: " + upd.table);
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(upd.table, upd.where));
       update.relation = upd.table;
       std::vector<std::pair<int, Scalar::Ptr>> sets;
@@ -233,7 +232,8 @@ StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
         sets.emplace_back(idx, std::move(scalar));
         spec.modified_attrs.push_back(col);
       }
-      for (const Row& old_row : victims) {
+      for (const CountedRow& victim : victims) {
+        const Row& old_row = victim.row;
         Row new_row = old_row;
         for (const auto& [idx, scalar] : sets) {
           AUXVIEW_ASSIGN_OR_RETURN(Value v, scalar->Eval(old_row, t->schema()));

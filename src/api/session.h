@@ -197,9 +197,10 @@ class Session {
   StatusOr<UpdateTrack> TrackFor(const TransactionType& type);
   /// Group id of a view/assertion name.
   StatusOr<GroupId> GroupOf(const std::string& name) const;
-  /// Rows of `table` matching a WHERE predicate (nullptr = all).
-  StatusOr<std::vector<Row>> MatchingRows(const std::string& table,
-                                          const SqlExpr::Ptr& where);
+  /// Rows of `table` matching a WHERE predicate (nullptr = all), with
+  /// their multiplicities.
+  StatusOr<std::vector<CountedRow>> MatchingRows(const std::string& table,
+                                                 const SqlExpr::Ptr& where);
 
   SessionOptions options_;
   Catalog catalog_;

@@ -87,8 +87,8 @@ StatusOr<ExecResult> TxnSession::ExecuteSelect(const SelectQuery& query) {
   return result;
 }
 
-StatusOr<std::vector<Row>> TxnSession::MatchingRows(const std::string& table,
-                                                    const SqlExpr::Ptr& where) {
+StatusOr<std::vector<CountedRow>> TxnSession::MatchingRows(
+    const std::string& table, const SqlExpr::Ptr& where) {
   const Table* t = writer_.ResolveTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
   if (auto equalities = dml::ExtractEqualities(where, t->schema())) {
@@ -107,7 +107,8 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
       const InsertStmt& ins = *stmt.insert;
       const Table* t = writer_.ResolveTable(ins.table);
       if (t == nullptr) return Status::NotFound("no such table: " + ins.table);
-      const Schema schema = t->schema();  // staging invalidates `t`
+      // `t` (the snapshot table or this writer's overlay) outlives staging.
+      const Schema& schema = t->schema();
       for (const auto& exprs : ins.rows) {
         if (static_cast<int>(exprs.size()) != schema.num_columns()) {
           return Status::InvalidArgument("INSERT arity mismatch for " +
@@ -128,12 +129,11 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
     }
     case Statement::Kind::kDelete: {
       const DeleteStmt& del = *stmt.del;
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(del.table, del.where));
-      for (const Row& row : victims) {
-        const Table* t = writer_.ResolveTable(del.table);
+      for (const CountedRow& victim : victims) {
         AUXVIEW_RETURN_IF_ERROR(
-            writer_.Delete(del.table, row, t->CountOf(row)));
+            writer_.Delete(del.table, victim.row, victim.count));
         ++result.affected;
       }
       return result;
@@ -142,8 +142,8 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
       const UpdateStmt& upd = *stmt.update;
       const Table* t = writer_.ResolveTable(upd.table);
       if (t == nullptr) return Status::NotFound("no such table: " + upd.table);
-      const Schema schema = t->schema();
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      const Schema& schema = t->schema();
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(upd.table, upd.where));
       std::vector<std::pair<int, Scalar::Ptr>> sets;
       for (const auto& [col, expr] : upd.sets) {
@@ -153,7 +153,11 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
             Scalar::Ptr scalar, dml::ToTableScalar(expr, upd.table, schema));
         sets.emplace_back(idx, std::move(scalar));
       }
-      for (const Row& old_row : victims) {
+      // Victims move at their pre-statement multiplicities, as the serial
+      // path's two-phase ModifyBatch does: in an UPDATE chain (27->28,
+      // 28->29) the copy moved onto 28 must not move again.
+      for (const CountedRow& victim : victims) {
+        const Row& old_row = victim.row;
         Row new_row = old_row;
         for (const auto& [idx, scalar] : sets) {
           AUXVIEW_ASSIGN_OR_RETURN(Value v, scalar->Eval(old_row, schema));
@@ -162,9 +166,8 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
           new_row[static_cast<size_t>(idx)] = std::move(v);
         }
         if (RowEq()(old_row, new_row)) continue;
-        const Table* current = writer_.ResolveTable(upd.table);
-        AUXVIEW_RETURN_IF_ERROR(writer_.Modify(upd.table, old_row, new_row,
-                                               current->CountOf(old_row)));
+        AUXVIEW_RETURN_IF_ERROR(
+            writer_.Modify(upd.table, old_row, new_row, victim.count));
         ++result.affected;
       }
       return result;

@@ -69,8 +69,8 @@ class TxnSession {
   /// Victim rows for DELETE/UPDATE through the overlay; records a key read
   /// when the WHERE clause is a pure equality conjunction, else a
   /// whole-relation read.
-  StatusOr<std::vector<Row>> MatchingRows(const std::string& table,
-                                          const SqlExpr::Ptr& where);
+  StatusOr<std::vector<CountedRow>> MatchingRows(const std::string& table,
+                                                 const SqlExpr::Ptr& where);
 
   Session* owner_;
   WriterTxn writer_;

@@ -83,7 +83,9 @@ StatusOr<CommitOutcome> ConcurrencyController::ApplyAndPublish(
     const ConcreteTxn& txn, const TransactionType& type,
     const UpdateTrack& track,
     const std::map<std::string, TxnFootprint::RowSet>& writes) {
-  const Status applied = manager_->ApplyTransaction(txn, type, track);
+  std::vector<UndoLog::Entry> changes;
+  const Status applied =
+      manager_->ApplyTransaction(txn, type, track, &changes);
   if (!applied.ok()) {
     if (applied.code() == StatusCode::kAborted &&
         !manager_->aborted_assertion().empty()) {
@@ -93,7 +95,7 @@ StatusOr<CommitOutcome> ConcurrencyController::ApplyAndPublish(
     }
     return applied;  // injected fault or genuine error — rolled back
   }
-  const uint64_t epoch = snapshots_.Publish(*db_, manager_->last_commit_tables());
+  const uint64_t epoch = snapshots_.Publish(*db_, changes);
   tracker_.RecordCommit(epoch, writes, manager_->last_commit_tables());
   tracker_.PruneThrough(snapshots_.MinPinnedEpoch());
   CommitsCounter()->Add(1);

@@ -1,37 +1,37 @@
 #include "concurrency/delta_set.h"
 
-#include "common/check.h"
 #include "concurrency/snapshot.h"
 
 namespace auxview {
 
-DeltaSet::DeltaSet() { overlay_counter_.set_enabled(false); }
+void DeltaSet::Stage(const std::string& relation, const Row& row,
+                     int64_t count) {
+  deltas_[relation].Add(row, count);
+  auto overlay = overlays_.find(relation);
+  if (overlay != overlays_.end()) overlay->second->ApplyChange(row, count);
+}
 
 void DeltaSet::StageInsert(const std::string& relation, const Row& row,
                            int64_t count) {
   if (count == 0) return;
-  deltas_[relation].Add(row, count);
+  Stage(relation, row, count);
   footprint_.AddWrite(relation, row);
-  merged_.erase(relation);
 }
 
 void DeltaSet::StageDelete(const std::string& relation, const Row& row,
                            int64_t count) {
   if (count == 0) return;
-  deltas_[relation].Add(row, -count);
+  Stage(relation, row, -count);
   footprint_.AddWrite(relation, row);
-  merged_.erase(relation);
 }
 
 void DeltaSet::StageModify(const std::string& relation, const Row& old_row,
                            const Row& new_row, int64_t count) {
   if (count == 0) return;
-  Relation& delta = deltas_[relation];
-  delta.Add(old_row, -count);
-  delta.Add(new_row, count);
+  Stage(relation, old_row, -count);
+  Stage(relation, new_row, count);
   footprint_.AddWrite(relation, old_row);
   footprint_.AddWrite(relation, new_row);
-  merged_.erase(relation);
 }
 
 int64_t DeltaSet::DeltaOf(const std::string& relation, const Row& row) const {
@@ -46,30 +46,20 @@ bool DeltaSet::Touches(const std::string& relation) const {
 
 const Table* DeltaSet::OverlayTable(const std::string& relation,
                                     const Snapshot& snapshot) const {
-  const Table* base = snapshot.ResolveTable(relation);
+  auto cached = overlays_.find(relation);
+  if (cached != overlays_.end()) return cached->second.get();
+  std::shared_ptr<const Table> base = snapshot.Version(relation);
   auto delta_it = deltas_.find(relation);
-  if (delta_it == deltas_.end() || delta_it->second.empty()) return base;
-  auto cached = merged_.find(relation);
-  if (cached != merged_.end()) return cached->second.get();
+  if (delta_it == deltas_.end() || delta_it->second.empty()) return base.get();
   if (base == nullptr) return nullptr;  // post-Prepare relations always exist
-  std::unique_ptr<Table> merged = base->Clone(&overlay_counter_);
-  // Apply positives first so a same-row delete never dips below zero when
-  // the net change is non-negative; staging invariants guarantee the final
-  // multiplicities are non-negative.
-  for (const auto& [row, count] : delta_it->second.SortedRows()) {
-    if (count > 0) {
-      const Status st = merged->Apply(row, count);
-      AUXVIEW_CHECK_MSG(st.ok(), st.ToString().c_str());
-    }
+  auto version = std::make_unique<TableVersion>(std::move(base));
+  // The signed bag holds one net count per row, and staging guarantees every
+  // net multiplicity is non-negative, so application order is free.
+  for (const auto& [row, count] : delta_it->second.rows()) {
+    version->ApplyChange(row, count);
   }
-  for (const auto& [row, count] : delta_it->second.SortedRows()) {
-    if (count < 0) {
-      const Status st = merged->Apply(row, count);
-      AUXVIEW_CHECK_MSG(st.ok(), st.ToString().c_str());
-    }
-  }
-  const Table* out = merged.get();
-  merged_.emplace(relation, std::move(merged));
+  const Table* out = version.get();
+  overlays_.emplace(relation, std::move(version));
   return out;
 }
 
@@ -101,7 +91,7 @@ bool DeltaSet::empty() const {
 void DeltaSet::Clear() {
   deltas_.clear();
   footprint_.Clear();
-  merged_.clear();
+  overlays_.clear();
 }
 
 }  // namespace auxview

@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "common/value.h"
+#include "concurrency/table_version.h"
 #include "exec/relation.h"
 #include "maintain/concrete.h"
-#include "storage/page_counter.h"
 #include "storage/table.h"
 
 namespace auxview {
@@ -70,15 +70,14 @@ struct TxnFootprint {
 /// visible to other sessions until commit merges the set into one
 /// ConcreteTxn and funnels it through the maintained pipeline.
 ///
-/// Overlay reads materialize a merged table version lazily — a clone of the
-/// snapshot version with the staged delta applied — and cache it until the
-/// next staged change to that relation, so repeated reads inside one
-/// transaction pay the merge once (the catapult BaseSetDelta/cache-delta
-/// layering, SNIPPETS.md 1 & 3).
+/// Overlay reads go through a TableVersion over the snapshot's version of
+/// the relation (src/concurrency/table_version.h), built on the first read
+/// after the relation is staged — O(snapshot overlay + staged rows), never a
+/// table copy — and then kept current by every later Stage* call in O(1),
+/// so a k-row statement that reads and stages k times pays for one build
+/// (the catapult BaseSetDelta layering, SNIPPETS.md 1 & 3).
 class DeltaSet {
  public:
-  DeltaSet();
-
   /// Stages `count` copies of `row` into `relation`.
   void StageInsert(const std::string& relation, const Row& row,
                    int64_t count = 1);
@@ -101,10 +100,10 @@ class DeltaSet {
   bool Touches(const std::string& relation) const;
 
   /// The merged read version of `relation`: the snapshot version with this
-  /// set's staged delta applied. Returns the snapshot version untouched
-  /// relations (no copy); nullptr when the relation exists in neither.
-  /// The returned table lives until the next staged change to the relation
-  /// or Clear().
+  /// set's staged delta applied. Returns the snapshot version for untouched
+  /// relations; nullptr when the relation exists in neither. `snapshot` must
+  /// be the same between Clear() calls; the returned table stays valid (and
+  /// follows later staging) until Clear().
   const Table* OverlayTable(const std::string& relation,
                             const Snapshot& snapshot) const;
 
@@ -120,13 +119,15 @@ class DeltaSet {
   void Clear();
 
  private:
+  /// Adds a staged change to the relation's signed bag and, once built, to
+  /// its overlay version.
+  void Stage(const std::string& relation, const Row& row, int64_t count);
+
   /// relation -> signed row bag (Relation reused as the signed-bag type).
   std::map<std::string, Relation> deltas_;
   TxnFootprint footprint_;
-  /// Never charges: overlay reads are private bookkeeping, not modeled I/O.
-  mutable PageCounter overlay_counter_;
-  /// Memoized merged versions, invalidated per-relation on staging.
-  mutable std::map<std::string, std::unique_ptr<Table>> merged_;
+  /// Overlay versions built by OverlayTable, kept in step by Stage.
+  mutable std::map<std::string, std::unique_ptr<TableVersion>> overlays_;
 };
 
 }  // namespace auxview

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/check.h"
+#include "concurrency/table_version.h"
 #include "obs/metrics.h"
 
 namespace auxview {
@@ -12,6 +14,22 @@ obs::Gauge* PinsGauge() {
   static obs::Gauge* g =
       obs::MetricsRegistry::Global().GetGauge("concurrency.snapshot_pins");
   return g;
+}
+
+obs::Counter* PublishRowsCopied() {
+  static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
+      "concurrency.publish_rows_copied");
+  return c;
+}
+
+/// The fold rule: deriving one more version from `prev` would copy its
+/// overlay; fold instead once the rows copied since the base was taken
+/// would reach the base's size (a fold clones about that many rows).
+bool ShouldFold(const Table& prev) {
+  const auto* version = dynamic_cast<const TableVersion*>(&prev);
+  if (version == nullptr) return prev.distinct_rows() == 0;
+  return version->rows_copied_since_fold() + version->overlay_rows() >=
+         version->base().distinct_rows();
 }
 
 }  // namespace
@@ -60,25 +78,40 @@ void SnapshotManager::PublishAll(const Database& db) {
 }
 
 uint64_t SnapshotManager::Publish(const Database& db,
-                                  const std::vector<std::string>& touched) {
-  // Start from the previous epoch's versions; only touched tables pay for a
-  // clone. Reading `db` here is safe: Publish runs under the commit lock, so
+                                  const std::vector<UndoLog::Entry>& changes) {
+  // Start from the previous epoch's versions; only changed tables get a new
+  // one. Reading `db` here is safe: Publish runs under the commit lock, so
   // no commit is mutating the tables concurrently.
   std::map<std::string, std::shared_ptr<const Table>> tables;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& name : current_->TableNames()) {
-      tables.emplace(name, current_->TableVersion(name));
-    }
+    tables = current_->tables();
   }
-  for (const std::string& name : touched) {
+  // Sharded relations log changes against their sub-tables, which carry the
+  // relation's name.
+  std::map<std::string, std::vector<const UndoLog::Entry*>> by_table;
+  for (const UndoLog::Entry& e : changes) {
+    by_table[e.table->name()].push_back(&e);
+  }
+  int64_t copied = 0;
+  for (const auto& [name, entries] : by_table) {
     const Table* live = db.FindTable(name);
-    if (live == nullptr) {
-      tables.erase(name);  // dropped since the last epoch
-    } else {
-      tables[name] = live->Clone(&snapshot_counter_);
+    AUXVIEW_CHECK_MSG(live != nullptr,
+                      ("committed change to a missing table: " + name).c_str());
+    std::shared_ptr<const Table>& slot = tables[name];
+    if (slot == nullptr || ShouldFold(*slot)) {
+      slot = live->Clone(&snapshot_counter_);
+      copied += live->distinct_rows();
+      continue;
     }
+    auto version = std::make_shared<TableVersion>(slot);
+    copied += version->overlay_rows();
+    for (const UndoLog::Entry* e : entries) {
+      version->ApplyChange(e->row, e->count);
+    }
+    slot = std::move(version);
   }
+  PublishRowsCopied()->Add(copied);
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t epoch = current_->epoch() + 1;
   current_ = std::make_shared<const Snapshot>(epoch, std::move(tables));

@@ -12,14 +12,16 @@
 #include "storage/database.h"
 #include "storage/page_counter.h"
 #include "storage/table.h"
+#include "storage/undo_log.h"
 
 namespace auxview {
 
 /// An immutable image of the database — base tables *and* materialized
 /// views — published at one commit epoch. Table versions are refcounted
-/// (shared_ptr): publishing a new epoch clones only the tables the commit
-/// touched and shares every other version with the previous snapshot, so a
-/// commit costs O(touched tables), not O(database).
+/// (shared_ptr): publishing a new epoch derives a TableVersion (shared base
+/// plus overlay, src/concurrency/table_version.h) for each table the commit
+/// changed and shares every other version with the previous snapshot, so a
+/// commit costs O(|delta|) amortized, not O(database) or O(table).
 ///
 /// A Snapshot is a TableSource, so the executor can run any query against
 /// it directly; its tables charge a permanently disabled PageCounter, making
@@ -40,16 +42,13 @@ class Snapshot : public TableSource {
   }
 
   /// The refcounted version of one table (nullptr when absent).
-  std::shared_ptr<const Table> TableVersion(const std::string& name) const {
+  std::shared_ptr<const Table> Version(const std::string& name) const {
     auto it = tables_.find(name);
     return it == tables_.end() ? nullptr : it->second;
   }
 
-  std::vector<std::string> TableNames() const {
-    std::vector<std::string> names;
-    names.reserve(tables_.size());
-    for (const auto& [name, table] : tables_) names.push_back(name);
-    return names;
+  const std::map<std::string, std::shared_ptr<const Table>>& tables() const {
+    return tables_;
   }
 
  private:
@@ -103,10 +102,18 @@ class SnapshotManager {
   /// Clones every table of `db` as epoch 0 — the initial publication.
   void PublishAll(const Database& db);
 
-  /// Publishes the next epoch: fresh clones for `touched` (tables created,
-  /// dropped, or mutated by the commit), shared versions for the rest.
-  /// Returns the new epoch.
-  uint64_t Publish(const Database& db, const std::vector<std::string>& touched);
+  /// Publishes the next epoch from the commit's physical row changes (the
+  /// committed undo-log entries, in commit order): each changed table gets a
+  /// new TableVersion — the previous version's overlay plus `changes` — and
+  /// every other table shares its previous version. Folding rule (ski
+  /// rental): once the overlay rows copied since a table's last fold would
+  /// reach its base's row count, the table instead folds into a fresh base,
+  /// one Clone of the live table. Amortized copies per commit are then
+  /// about sqrt(2 * rows * |delta|), counted in
+  /// `concurrency.publish_rows_copied`. Runs under the commit lock, with
+  /// `db` holding the committed state. Returns the new epoch.
+  uint64_t Publish(const Database& db,
+                   const std::vector<UndoLog::Entry>& changes);
 
   /// Pins the latest snapshot.
   SnapshotRef Pin();

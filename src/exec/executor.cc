@@ -48,9 +48,8 @@ StatusOr<RowBatch> Executor::ScanBatch(const Expr& expr) const {
   }
   RowBatch out(expr.output_schema());
   out.Reserve(table->distinct_rows());
-  for (const CountedRow& cr : table->SnapshotUncharged()) {
-    out.Append(cr.row, cr.count);
-  }
+  table->ForEachRow(
+      [&](const Row& row, int64_t count) { out.Append(row, count); });
   return out;
 }
 

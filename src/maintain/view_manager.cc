@@ -232,7 +232,8 @@ Status ViewManager::CommitTransaction(
 
 Status ViewManager::ApplyTransaction(const ConcreteTxn& txn,
                                      const TransactionType& type,
-                                     const UpdateTrack& track) {
+                                     const UpdateTrack& track,
+                                     std::vector<UndoLog::Entry>* changes) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   static obs::Counter* txns = reg.GetCounter("maintain.txns_applied");
   static obs::Counter* rollbacks = reg.GetCounter("maintain.txns_rolled_back");
@@ -282,7 +283,11 @@ Status ViewManager::ApplyTransaction(const ConcreteTxn& txn,
     if (lsn != 0) (void)wal->AppendAbort(lsn);
     return committed;
   }
-  undo.Commit();
+  if (changes != nullptr) {
+    *changes = undo.TakeCommitted();
+  } else {
+    undo.Commit();
+  }
   return Status::Ok();
 }
 

@@ -8,6 +8,7 @@
 #include "maintain/delta_engine.h"
 #include "optimizer/track.h"
 #include "optimizer/view_set.h"
+#include "storage/undo_log.h"
 
 namespace auxview {
 
@@ -56,9 +57,8 @@ class ViewManager {
 
   /// Stored-table names the most recent successful Apply* call mutated:
   /// the updated base relations plus every materialized view whose delta was
-  /// non-empty. The concurrency layer republishes exactly these tables'
-  /// snapshot versions after a commit (src/concurrency/snapshot.h); all
-  /// other versions are shared with the previous epoch.
+  /// non-empty. The concurrency layer's conflict tracker records them as the
+  /// commit's coarse (table-level) write footprint.
   const std::vector<std::string>& last_commit_tables() const {
     return last_commit_tables_;
   }
@@ -70,8 +70,13 @@ class ViewManager {
   /// relations under an undo log; any mid-commit failure (e.g. an injected
   /// fault) rolls the database back bit-identical to the pre-transaction
   /// state. Returns Aborted on an assertion violation or injected fault.
+  /// With `changes` non-null, a successful commit moves every physical row
+  /// change it made there, in order (its committed undo-log entries) — the
+  /// concurrency layer derives the next snapshot's table versions from them
+  /// (src/concurrency/snapshot.h).
   Status ApplyTransaction(const ConcreteTxn& txn, const TransactionType& type,
-                          const UpdateTrack& track);
+                          const UpdateTrack& track,
+                          std::vector<UndoLog::Entry>* changes = nullptr);
 
   /// The naive baseline the paper argues against: applies the base updates,
   /// then recomputes every affected materialized view from scratch with

@@ -290,15 +290,9 @@ std::vector<CountedRow> ShardedTable::ScanAll() const {
   return out;
 }
 
-std::vector<CountedRow> ShardedTable::SnapshotUncharged() const {
-  std::vector<CountedRow> out;
-  out.reserve(static_cast<size_t>(distinct_rows()));
-  for (const auto& shard : shards_) {
-    std::vector<CountedRow> part = shard->SnapshotUncharged();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
+void ShardedTable::ForEachRow(
+    const std::function<void(const Row&, int64_t)>& fn) const {
+  for (const auto& shard : shards_) shard->ForEachRow(fn);
 }
 
 RelationStats ShardedTable::ComputeStats() const {

@@ -76,7 +76,8 @@ class ShardedTable : public Table {
       const std::vector<std::string>& attrs,
       const std::vector<Row>& keys) const override;
   std::vector<CountedRow> ScanAll() const override;
-  std::vector<CountedRow> SnapshotUncharged() const override;
+  void ForEachRow(
+      const std::function<void(const Row&, int64_t)>& fn) const override;
   RelationStats ComputeStats() const override;
   std::string Fingerprint() const override;
   void set_undo_log(UndoLog* log) override;

@@ -356,11 +356,16 @@ std::vector<CountedRow> Table::ScanAll() const {
 
 std::vector<CountedRow> Table::SnapshotUncharged() const {
   std::vector<CountedRow> out;
-  out.reserve(rows_.size());
-  for (const auto& [row, count] : rows_) {
+  out.reserve(static_cast<size_t>(distinct_rows()));
+  ForEachRow([&](const Row& row, int64_t count) {
     out.push_back(CountedRow{row, count});
-  }
+  });
   return out;
+}
+
+void Table::ForEachRow(
+    const std::function<void(const Row&, int64_t)>& fn) const {
+  for (const auto& [row, count] : rows_) fn(row, count);
 }
 
 std::string Table::Fingerprint() const {

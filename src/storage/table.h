@@ -2,6 +2,7 @@
 #define AUXVIEW_STORAGE_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -127,7 +128,13 @@ class Table {
   virtual std::vector<CountedRow> ScanAll() const;
 
   /// All rows without charging I/O (test oracles, materialization snapshots).
-  virtual std::vector<CountedRow> SnapshotUncharged() const;
+  std::vector<CountedRow> SnapshotUncharged() const;
+
+  /// Visits every (row, multiplicity) in place without charging I/O — the
+  /// copy-free form of SnapshotUncharged for consumers that copy each row
+  /// once anyway (the executor's scan). `fn` must not mutate the table.
+  virtual void ForEachRow(
+      const std::function<void(const Row&, int64_t)>& fn) const;
 
   /// Recomputed exact statistics (row count, per-column distinct counts).
   virtual RelationStats ComputeStats() const;
@@ -150,6 +157,10 @@ class Table {
   /// access to sub-table internals across objects — friendship, not
   /// protected access (docs/SHARDING.md, "Charge identity").
   friend class ShardedTable;
+  /// Snapshot versions read a shared base table's row map in place (no
+  /// per-row copies or re-hashing) and rebuild flat tables for fingerprints
+  /// (src/concurrency/table_version.h).
+  friend class TableVersion;
 
   struct IndexState {
     std::vector<std::string> attrs;

@@ -110,6 +110,13 @@ void UndoLog::Commit() {
   ObserveHighwater();
 }
 
+std::vector<UndoLog::Entry> UndoLog::TakeCommitted() {
+  std::vector<Entry> committed = std::move(entries_);
+  entries_.clear();
+  Commit();
+  return committed;
+}
+
 ScopedUndo::ScopedUndo(Database* db, UndoLog* log, Catalog* catalog)
     : db_(db) {
   for (const std::string& name : db_->TableNames()) {

@@ -30,6 +30,15 @@ class Table;
 /// is consumed (Commit, RollBack or destruction).
 class UndoLog {
  public:
+  /// One recorded mutation: `count` (signed) copies of `row` applied to
+  /// `table`. Sharded relations record against the sub-table that mutated,
+  /// whose name() is the relation's.
+  struct Entry {
+    Table* table;
+    Row row;
+    int64_t count;  // the applied delta; undo applies -count
+  };
+
   UndoLog();
   ~UndoLog();
 
@@ -53,6 +62,11 @@ class UndoLog {
   /// Forgets the recorded entries (the transaction committed).
   void Commit();
 
+  /// Commit() that hands the recorded entries, oldest first, to the caller:
+  /// the committed transaction's net physical changes, from which snapshot
+  /// publication derives new table versions.
+  std::vector<Entry> TakeCommitted();
+
   bool empty() const { return entries_.empty(); }
   int64_t entry_count() const { return static_cast<int64_t>(entries_.size()); }
   /// Approximate live heap footprint of the log.
@@ -62,12 +76,6 @@ class UndoLog {
   int64_t highwater_bytes() const { return highwater_; }
 
  private:
-  struct Entry {
-    Table* table;
-    Row row;
-    int64_t count;  // the applied delta; undo applies -count
-  };
-
   /// Flushes the pending high-water reading into the histogram (no-op for
   /// a log that recorded nothing since last consume).
   void ObserveHighwater();

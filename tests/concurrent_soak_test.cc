@@ -145,5 +145,103 @@ TEST(ConcurrentSoakTest, WritersAndReadersRaceCleanly) {
   EXPECT_TRUE(session.CheckConsistency().ok());
 }
 
+// Readers hold one snapshot across many commits while writers drive Emp and
+// SumOfSals through several version folds (a 24-row Emp folds about every
+// five commits): every read of a pinned snapshot must return the same rows,
+// and within one snapshot the view must agree with the base table.
+TEST(ConcurrentSoakTest, PinnedReadersSpanVersionFolds) {
+  Session session;
+  ASSERT_TRUE(session.Execute(kDdl).ok());
+  for (int d = 0; d < kDepts; ++d) {
+    const std::string dname = "d" + std::to_string(d);
+    for (int k = 0; k < kEmpsPerDept; ++k) {
+      ASSERT_TRUE(session
+                      .Execute("INSERT INTO Emp VALUES ('" + dname + "e" +
+                               std::to_string(k) + "', '" + dname + "', 100);")
+                      .ok());
+    }
+    ASSERT_TRUE(session
+                    .Execute("INSERT INTO Dept VALUES ('" + dname + "', 'm', " +
+                             "100000);")
+                    .ok());
+  }
+  session.DeclareWorkload({SingleModifyTxn(">Emp", "Emp", {"Salary"}, 1)});
+  ASSERT_TRUE(session.Prepare().ok());
+  ASSERT_TRUE(session.EnableConcurrency().ok());
+
+  std::atomic<bool> failed{false};
+  std::atomic<int> committed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriterThreads; ++t) {
+    threads.emplace_back([&session, &failed, &committed, t] {
+      auto txn = session.OpenSession();
+      if (!txn.ok()) {
+        failed = true;
+        return;
+      }
+      for (int i = 0; i < kOpsPerWriter && !failed; ++i) {
+        // Disjoint employees per thread: every commit validates clean.
+        const std::string ename = "d" + std::to_string(t) + "e" +
+                                  std::to_string(i % kEmpsPerDept);
+        auto executed = (*txn)->Execute(
+            "UPDATE Emp SET Salary = " + std::to_string(101 + i) +
+            " WHERE EName = '" + ename + "';");
+        auto outcome = (*txn)->Commit();
+        if (!executed.ok() || !outcome.ok() || !outcome->committed()) {
+          failed = true;
+          return;
+        }
+        committed.fetch_add(1);
+      }
+    });
+  }
+  const auto sum_of = [](const ExecResult& r, int col) {
+    int64_t sum = 0;
+    for (const auto& [row, count] : r.rows->rows()) {
+      sum += static_cast<int64_t>(row[static_cast<size_t>(col)].AsDouble()) *
+             count;
+    }
+    return sum;
+  };
+  for (int t = 0; t < kReaderThreads; ++t) {
+    threads.emplace_back([&session, &failed, &sum_of] {
+      auto txn = session.OpenSession();
+      if (!txn.ok()) {
+        failed = true;
+        return;
+      }
+      for (int i = 0; i < kReadsPerReader / 4 && !failed; ++i) {
+        std::string first;
+        for (int round = 0; round < 4; ++round) {
+          auto emps = (*txn)->Execute("SELECT EName, Salary FROM Emp;");
+          auto view = (*txn)->Execute("SELECT * FROM SumOfSals;");
+          if (!emps.ok() || !view.ok() ||
+              emps->rows->total_count() != kDepts * kEmpsPerDept ||
+              sum_of(*emps, 1) != sum_of(*view, 1)) {
+            failed = true;
+            return;
+          }
+          std::string rows;
+          for (const auto& [row, count] : emps->rows->SortedRows()) {
+            rows += RowToString(row) + "x" + std::to_string(count) + ";";
+          }
+          if (round == 0) first = rows;
+          if (rows != first) {
+            failed = true;  // the pinned snapshot moved
+            return;
+          }
+          std::this_thread::yield();
+        }
+        (*txn)->Abort();  // repin the newest snapshot
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(committed.load(), kWriterThreads * kOpsPerWriter);
+  EXPECT_TRUE(session.CheckConsistency().ok());
+}
+
 }  // namespace
 }  // namespace auxview

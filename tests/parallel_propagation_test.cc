@@ -22,6 +22,7 @@
 #include "common/failpoint.h"
 #include "exec/kernels/kernels.h"
 #include "obs/metrics.h"
+#include "workload_param.h"
 
 namespace auxview {
 namespace {
@@ -121,6 +122,16 @@ CasePack MakeChain() {
           w->AllTxns()};
 }
 
+/// The pack a test parameter names.
+CasePack MakeWorkload(const WorkloadName& workload) {
+  const std::string name = workload.text;
+  if (name == "emp_dept") return MakeEmpDept();
+  if (name == "fig5") return MakeFig5();
+  if (name == "star") return MakeStar();
+  EXPECT_EQ(name, "chain");
+  return MakeChain();
+}
+
 /// Everything observable about one run of a transaction stream.
 struct RunTrace {
   /// Charged page I/O of each committed transaction.
@@ -190,10 +201,10 @@ void ExpectTracesIdentical(const CasePack& pack, const RunTrace& base,
 }
 
 class ParallelPropagationTest
-    : public ::testing::TestWithParam<std::function<CasePack()>> {};
+    : public ::testing::TestWithParam<WorkloadName> {};
 
 TEST_P(ParallelPropagationTest, ThreadCountsAreBitIdentical) {
-  const CasePack pack = GetParam()();
+  const CasePack pack = MakeWorkload(GetParam());
   auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   ViewSet views = {memo->root()};
@@ -209,7 +220,7 @@ TEST_P(ParallelPropagationTest, ThreadCountsAreBitIdentical) {
 }
 
 TEST_P(ParallelPropagationTest, PartitionedKernelsAreBitIdentical) {
-  const CasePack pack = GetParam()();
+  const CasePack pack = MakeWorkload(GetParam());
   auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   ViewSet views = {memo->root()};
@@ -229,12 +240,8 @@ TEST_P(ParallelPropagationTest, PartitionedKernelsAreBitIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, ParallelPropagationTest,
-    ::testing::Values(MakeEmpDept, MakeFig5, MakeStar, MakeChain),
-    [](const ::testing::TestParamInfo<std::function<CasePack()>>& info) {
-      return info.param().name;
-    });
+INSTANTIATE_TEST_SUITE_P(Workloads, ParallelPropagationTest, AllWorkloads(),
+                         WorkloadTestName);
 
 // An injected fault inside any worker task — swept across every task the
 // transaction spawns — must abort the transaction with the failpoint's

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "auxview.h"
+#include "workload_param.h"
 
 namespace auxview {
 namespace {
@@ -118,6 +119,16 @@ CasePack MakeChain() {
           w->AllTxns()};
 }
 
+/// The pack a test parameter names.
+CasePack MakeWorkload(const WorkloadName& workload) {
+  const std::string name = workload.text;
+  if (name == "emp_dept") return MakeEmpDept();
+  if (name == "fig5") return MakeFig5();
+  if (name == "star") return MakeStar();
+  EXPECT_EQ(name, "chain");
+  return MakeChain();
+}
+
 constexpr const char* kCrashPoints[] = {
     "wal.append.partial",
     "wal.fsync.fail",
@@ -127,12 +138,12 @@ constexpr const char* kCrashPoints[] = {
 constexpr int kSteps = 8;
 constexpr size_t kCrashAt = 4;  // the step whose commit/checkpoint crashes
 
-class RecoveryEquivalenceTest : public ::testing::TestWithParam<
-                                    std::function<CasePack()>> {};
+class RecoveryEquivalenceTest
+    : public ::testing::TestWithParam<WorkloadName> {};
 
 TEST_P(RecoveryEquivalenceTest, CrashAtEveryWalPointLandsOnOracleState) {
   FailpointRegistry::Global().DisarmAll();
-  const CasePack pack = GetParam()();
+  const CasePack pack = MakeWorkload(GetParam());
   auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   ViewSet views = {memo->root()};
@@ -237,16 +248,8 @@ TEST_P(RecoveryEquivalenceTest, CrashAtEveryWalPointLandsOnOracleState) {
   }
 }
 
-std::string CaseName(
-    const ::testing::TestParamInfo<std::function<CasePack()>>& info) {
-  static const char* const kNames[] = {"emp_dept", "fig5", "star", "chain"};
-  return kNames[info.index];
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, RecoveryEquivalenceTest,
-    ::testing::Values(&MakeEmpDept, &MakeFig5, &MakeStar, &MakeChain),
-    CaseName);
+INSTANTIATE_TEST_SUITE_P(Workloads, RecoveryEquivalenceTest, AllWorkloads(),
+                         WorkloadTestName);
 
 }  // namespace
 }  // namespace auxview

@@ -16,6 +16,7 @@
 #include "auxview.h"
 #include "concurrency/controller.h"
 #include "concurrency/writer.h"
+#include "workload_param.h"
 
 namespace auxview {
 namespace {
@@ -93,6 +94,16 @@ CasePack MakeChain() {
           w->AllTxns()};
 }
 
+/// The pack a test parameter names.
+CasePack MakeWorkload(const WorkloadName& workload) {
+  const std::string name = workload.text;
+  if (name == "emp_dept") return MakeEmpDept();
+  if (name == "fig5") return MakeFig5();
+  if (name == "star") return MakeStar();
+  EXPECT_EQ(name, "chain");
+  return MakeChain();
+}
+
 /// Stages a generated concrete transaction into a writer's delta-set,
 /// through the overlay (so multiplicities come from the writer's own view).
 Status StageFromConcrete(WriterTxn* writer, const ConcreteTxn& txn) {
@@ -119,10 +130,10 @@ constexpr int kRounds = 8;
 constexpr int kWriters = 3;
 
 class SerialEquivalenceTest
-    : public ::testing::TestWithParam<std::function<CasePack()>> {};
+    : public ::testing::TestWithParam<WorkloadName> {};
 
 TEST_P(SerialEquivalenceTest, CommittedInterleavingReplaysSerially) {
-  const CasePack pack = GetParam()();
+  const CasePack pack = MakeWorkload(GetParam());
   auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   ViewSet views = {memo->root()};
@@ -234,16 +245,8 @@ TEST_P(SerialEquivalenceTest, CommittedInterleavingReplaysSerially) {
   EXPECT_TRUE(mirror_consistent.ok()) << mirror_consistent.ToString();
 }
 
-std::string CaseName(
-    const ::testing::TestParamInfo<std::function<CasePack()>>& info) {
-  static const char* const kNames[] = {"emp_dept", "fig5", "star", "chain"};
-  return kNames[info.index];
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, SerialEquivalenceTest,
-    ::testing::Values(&MakeEmpDept, &MakeFig5, &MakeStar, &MakeChain),
-    CaseName);
+INSTANTIATE_TEST_SUITE_P(Workloads, SerialEquivalenceTest, AllWorkloads(),
+                         WorkloadTestName);
 
 }  // namespace
 }  // namespace auxview

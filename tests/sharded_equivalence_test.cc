@@ -24,6 +24,7 @@
 #include "common/failpoint.h"
 #include "exec/kernels/kernels.h"
 #include "obs/metrics.h"
+#include "workload_param.h"
 
 namespace auxview {
 namespace {
@@ -99,6 +100,16 @@ CasePack MakeChain() {
   return {"chain", w,          &w->catalog(),
           *tree,   [w](Database* db) { return w->Populate(db); },
           w->AllTxns()};
+}
+
+/// The pack a test parameter names.
+CasePack MakeWorkload(const WorkloadName& workload) {
+  const std::string name = workload.text;
+  if (name == "emp_dept") return MakeEmpDept();
+  if (name == "fig5") return MakeFig5();
+  if (name == "star") return MakeStar();
+  EXPECT_EQ(name, "chain");
+  return MakeChain();
 }
 
 /// Everything observable about one run of a transaction stream, plus the
@@ -204,10 +215,10 @@ void ExpectTracesIdentical(const CasePack& pack, const RunTrace& base,
 }
 
 class ShardedEquivalenceTest
-    : public ::testing::TestWithParam<std::function<CasePack()>> {};
+    : public ::testing::TestWithParam<WorkloadName> {};
 
 TEST_P(ShardedEquivalenceTest, ShardCountsAreBitIdentical) {
-  const CasePack pack = GetParam()();
+  const CasePack pack = MakeWorkload(GetParam());
   auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   ViewSet views = {memo->root()};
@@ -230,7 +241,7 @@ TEST_P(ShardedEquivalenceTest, ShardCountsAreBitIdentical) {
 }
 
 TEST_P(ShardedEquivalenceTest, AdaptivePartitioningIsBitIdentical) {
-  const CasePack pack = GetParam()();
+  const CasePack pack = MakeWorkload(GetParam());
   auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   ViewSet views = {memo->root()};
@@ -250,12 +261,8 @@ TEST_P(ShardedEquivalenceTest, AdaptivePartitioningIsBitIdentical) {
   kernels::SetPartitionMinRows(old_min);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, ShardedEquivalenceTest,
-    ::testing::Values(MakeEmpDept, MakeFig5, MakeStar, MakeChain),
-    [](const ::testing::TestParamInfo<std::function<CasePack()>>& info) {
-      return info.param().name;
-    });
+INSTANTIATE_TEST_SUITE_P(Workloads, ShardedEquivalenceTest, AllWorkloads(),
+                         WorkloadTestName);
 
 // The classifier's routing verdicts, pinned per workload: emp_dept and
 // fig5 shard on their join/group-by attribute, so every declared

@@ -48,6 +48,7 @@ KNOWN_CONCURRENCY_COUNTERS = {
     "concurrency.commits",
     "concurrency.conflicts",
     "concurrency.retries",
+    "concurrency.publish_rows_copied",
 }
 KNOWN_CONCURRENCY_GAUGES = {
     "concurrency.snapshot_pins",
